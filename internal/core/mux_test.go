@@ -167,6 +167,44 @@ func TestDialWithMuxFallsBackAgainstClassicTarget(t *testing.T) {
 	}
 }
 
+// TestPoolProbeOfClassicTargetIsFast: with the default 5 s ProbeTimeout,
+// a pool probing a plain session target must learn "not trunk-capable"
+// from the target's immediate refusal of the trunk hello, not by waiting
+// the probe out, and deliver the session classically well within 1 s.
+func TestPoolProbeOfClassicTargetIsFast(t *testing.T) {
+	addr, got, errs := collectTarget(t)
+	pool := mux.NewPool(mux.PoolConfig{Logf: t.Logf})
+	defer pool.Close()
+
+	payload := randBytes(200_000, 9)
+	start := time.Now()
+	c, err := core.Dial(context.Background(), core.Route{Target: addr},
+		core.WithMux(pool), core.WithContentLength(int64(len(payload))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case data := <-got:
+		if !bytes.Equal(data, payload) {
+			t.Fatal("payload mismatch")
+		}
+	case err := <-errs:
+		t.Fatal(err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("timeout")
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("session through a probing pool took %v, want < 1s", d)
+	}
+}
+
 // TestDialWithMuxEagerThroughDepot combines the two new dial paths: an
 // eager session with a staged header, over a multiplexed stream from the
 // pool, relayed by a mux depot — digest verified at the target.

@@ -27,6 +27,7 @@
 package mux
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -36,7 +37,19 @@ import (
 	"time"
 
 	"lsl/internal/wire"
+	"lsl/internal/xfer"
 )
+
+// dataPool holds the buffers inbound DATA payloads are read into. A
+// buffer belongs to the link's read loop until Stream.deliverData takes
+// it, and to the stream after that, which returns it once Read drains
+// it, Close drops it, or the payload is refused (see DESIGN §9).
+var dataPool = xfer.PoolFor(wire.MaxMuxPayload)
+
+// readBufSize sizes the read loop's bufio.Reader: enough to batch
+// control frames and headers into one read, small enough that bulk
+// payloads bypass it and land straight in pooled buffers.
+const readBufSize = 4 << 10
 
 // Link lifecycle errors.
 var (
@@ -96,7 +109,13 @@ type Link struct {
 
 	sendWindow uint32 // peer-granted initial per-stream credit
 
-	wmu sync.Mutex // serializes frame writes on nc
+	// wmu serializes frame writes on nc and guards the write scratch:
+	// the frame headers of the span in flight, one control frame (plus
+	// a coalesced OPEN), and the writev's iovec list.
+	wmu sync.Mutex
+	hdr []byte
+	ctl [2*wire.MuxFrameHeaderLen + 4]byte
+	iov net.Buffers
 
 	mu       sync.Mutex
 	streams  map[uint32]*Stream
@@ -333,10 +352,22 @@ func (l *Link) lookup(id uint32) *Stream {
 // block on application state: DATA lands in credit-bounded buffers,
 // control frames are handled inline, and a full accept backlog resets the
 // excess stream instead of waiting.
+//
+// DATA payloads are read straight into pooled buffers; buf holds the one
+// being decoded until deliverData takes it over.
 func (l *Link) readLoop() {
+	var buf *[]byte
+	dec := wire.MuxDecoder{
+		R: bufio.NewReaderSize(l.nc, readBufSize),
+		Payload: func(int) []byte {
+			buf = dataPool.Get()
+			return *buf
+		},
+	}
+	var f wire.MuxFrame
 	for {
-		f, err := wire.ReadMuxFrame(l.nc)
-		if err != nil {
+		if err := dec.Decode(&f); err != nil {
+			dataPool.Put(buf)
 			l.closeWithError(fmt.Errorf("mux: link read: %w", err))
 			return
 		}
@@ -344,13 +375,15 @@ func (l *Link) readLoop() {
 		case wire.MuxOpen:
 			l.handleOpen(f.Stream)
 		case wire.MuxData:
-			if s := l.lookup(f.Stream); s != nil {
-				if err := s.deliverData(f.Payload); err != nil {
-					l.closeWithError(err)
-					return
-				}
+			s := l.lookup(f.Stream)
+			if s == nil {
+				// Unknown stream: recently closed locally; drop quietly.
+				dataPool.Put(buf)
+			} else if err := s.deliverData(buf, f.Payload); err != nil {
+				l.closeWithError(err)
+				return
 			}
-			// Unknown stream: recently closed locally; drop quietly.
+			buf = nil
 		case wire.MuxWindow:
 			if s := l.lookup(f.Stream); s != nil {
 				s.addCredit(f.Credit)
@@ -385,7 +418,7 @@ func (l *Link) handleOpen(id uint32) {
 	}
 	if l.draining {
 		l.mu.Unlock()
-		l.writeFrame(wire.MuxReset, id, nil)
+		l.writeFrame(wire.MuxReset, id, 0, false)
 		return
 	}
 	s := newStream(l, id, l.sendWindow)
@@ -403,60 +436,72 @@ func (l *Link) handleOpen(id uint32) {
 		l.logf("mux: accept backlog full, resetting stream %d", id)
 		s.deliverReset(ErrStreamReset)
 		l.removeStream(id)
-		l.writeFrame(wire.MuxReset, id, nil)
+		l.writeFrame(wire.MuxReset, id, 0, false)
 	}
 }
 
-// writeFrame sends one control or data frame under the link write lock
-// and the frame write timeout. A write failure kills the link.
-func (l *Link) writeFrame(typ uint8, stream uint32, payload []byte) error {
-	buf := wire.AppendMuxFrame(nil, typ, stream, payload)
-	return l.writeRaw(buf)
-}
-
-func (l *Link) writeRaw(buf []byte) error {
+// writeFrame sends one control frame — OPEN, CLOSE, RESET, or WINDOW
+// granting credit — behind the stream's pending OPEN when withOpen. The
+// frames are built in link-owned scratch, so control traffic allocates
+// nothing.
+func (l *Link) writeFrame(typ uint8, stream, credit uint32, withOpen bool) error {
 	l.wmu.Lock()
-	l.nc.SetWriteDeadline(time.Now().Add(l.cfg.WriteTimeout))
-	_, err := l.nc.Write(buf)
-	l.nc.SetWriteDeadline(time.Time{})
-	l.wmu.Unlock()
-	if err != nil {
-		l.closeWithError(fmt.Errorf("mux: link write: %w", err))
-	}
-	return err
-}
-
-// writeData sends [OPEN]+DATA for one credit-reserved chunk. The pending
-// OPEN coalesces with the first DATA into one writev (one segment on the
-// wire), so opening a session over a warm trunk costs no extra packet.
-func (l *Link) writeData(stream uint32, p []byte, withOpen bool) error {
-	hdr := make([]byte, 0, 2*wire.MuxFrameHeaderLen)
+	b := l.ctl[:0]
 	if withOpen {
-		hdr = wire.AppendMuxFrame(hdr, wire.MuxOpen, stream, nil)
+		b = wire.AppendMuxHeader(b, wire.MuxOpen, stream, 0)
 	}
-	var frame [wire.MuxFrameHeaderLen]byte
-	frame[0] = wire.MuxData
-	putUint32(frame[1:5], stream)
-	putUint32(frame[5:9], uint32(len(p)))
-	hdr = append(hdr, frame[:]...)
+	if typ == wire.MuxWindow {
+		b = wire.AppendMuxWindow(b, stream, credit)
+	} else {
+		b = wire.AppendMuxHeader(b, typ, stream, 0)
+	}
+	return l.writevUnlock(append(l.iov[:0], b))
+}
 
+// writeData sends one credit-reserved span as DATA frames of at most
+// MaxMuxPayload bytes in a single writev: each frame's header sits in
+// link-owned scratch and its payload is sent from p in place. A pending
+// OPEN rides in front of the first header, so opening a session over a
+// warm trunk costs no extra packet.
+func (l *Link) writeData(stream uint32, p []byte, withOpen bool) error {
+	frames := (len(p) + wire.MaxMuxPayload - 1) / wire.MaxMuxPayload
+	need := frames * wire.MuxFrameHeaderLen
+	if withOpen {
+		need += wire.MuxFrameHeaderLen
+	}
 	l.wmu.Lock()
+	if cap(l.hdr) < need {
+		l.hdr = make([]byte, 0, need)
+	}
+	// hdr never outgrows its capacity, so earlier iovecs stay valid.
+	hdr := l.hdr[:0]
+	if withOpen {
+		hdr = wire.AppendMuxHeader(hdr, wire.MuxOpen, stream, 0)
+	}
+	iov := l.iov[:0]
+	for mark := 0; len(p) > 0; mark = len(hdr) {
+		k := min(len(p), wire.MaxMuxPayload)
+		hdr = wire.AppendMuxHeader(hdr, wire.MuxData, stream, k)
+		iov = append(iov, hdr[mark:], p[:k])
+		p = p[k:]
+	}
+	return l.writevUnlock(iov)
+}
+
+// writevUnlock writes iov in one writev under the frame write timeout,
+// then releases wmu (which the caller took). A write failure kills the
+// link.
+func (l *Link) writevUnlock(iov net.Buffers) error {
+	l.iov = iov // WriteTo wants a *Buffers; a field keeps it off the heap
 	l.nc.SetWriteDeadline(time.Now().Add(l.cfg.WriteTimeout))
-	bufs := net.Buffers{hdr, p}
-	_, err := bufs.WriteTo(l.nc)
+	_, err := l.iov.WriteTo(l.nc)
 	l.nc.SetWriteDeadline(time.Time{})
+	l.iov = iov[:0] // WriteTo consumed l.iov; keep the backing array
 	l.wmu.Unlock()
 	if err != nil {
 		l.closeWithError(fmt.Errorf("mux: link write: %w", err))
 	}
 	return err
-}
-
-func putUint32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
 }
 
 // Stream is one multiplexed session sublink. It implements net.Conn:
@@ -470,11 +515,12 @@ type Stream struct {
 	readCond  *sync.Cond
 	writeCond *sync.Cond
 
-	// Receive side. chunks is bounded by the advertised window because
-	// the peer respects credit; unacked counts delivered-but-ungranted
-	// bytes for window accounting and protocol enforcement.
-	chunks     [][]byte
-	chunkOff   int
+	// Receive side. chunks[head:] is bounded by the advertised window
+	// because the peer respects credit; unacked counts
+	// delivered-but-ungranted bytes for window accounting and protocol
+	// enforcement.
+	chunks     []chunk
+	head       int
 	buffered   int
 	unacked    int
 	readClosed bool // peer sent CLOSE
@@ -489,6 +535,13 @@ type Stream struct {
 
 	rdeadline deadline
 	wdeadline deadline
+}
+
+// chunk is one queued inbound payload: the unread bytes b of the pooled
+// buffer buf, which goes back to dataPool once b drains.
+type chunk struct {
+	buf *[]byte
+	b   []byte
 }
 
 func newStream(l *Link, id uint32, credit uint32) *Stream {
@@ -506,23 +559,41 @@ func (s *Stream) StreamID() uint32 { return s.id }
 // Link returns the trunk carrying the stream.
 func (s *Stream) Link() *Link { return s.link }
 
-// deliverData queues inbound payload (called from the link read loop; the
-// slice is owned by the stream from here on). A peer overrunning its
-// credit is a protocol violation that kills the link.
-func (s *Stream) deliverData(p []byte) error {
+// deliverData queues inbound payload p, read into the pooled buffer buf
+// (called from the link read loop). The stream owns buf from here on:
+// it is queued, or p coalesces into the tail chunk's spare room and buf
+// goes straight back to the pool, or — stale data, or a peer overrunning
+// its credit, a protocol violation that kills the link — it is returned
+// at once. Coalescing bounds receive memory by the window, not by the
+// frame count: two adjacent chunks always fill more than one buffer.
+func (s *Stream) deliverData(buf *[]byte, p []byte) error {
 	s.mu.Lock()
 	if s.closed || s.resetErr != nil || s.readClosed {
 		s.mu.Unlock()
+		dataPool.Put(buf)
 		return nil // stale data for a locally finished stream
 	}
 	if s.unacked+len(p) > s.link.cfg.Window {
 		s.mu.Unlock()
+		dataPool.Put(buf)
 		return fmt.Errorf("mux: stream %d overran its %d-byte receive window", s.id, s.link.cfg.Window)
 	}
-	s.chunks = append(s.chunks, p)
+	if n := len(s.chunks); n > s.head && cap(s.chunks[n-1].b)-len(s.chunks[n-1].b) >= len(p) {
+		tail := &s.chunks[n-1]
+		tail.b = append(tail.b, p...)
+	} else {
+		if s.head > 0 && len(s.chunks) == cap(s.chunks) {
+			live := copy(s.chunks, s.chunks[s.head:])
+			clear(s.chunks[live:])
+			s.chunks, s.head = s.chunks[:live], 0
+		}
+		s.chunks = append(s.chunks, chunk{buf: buf, b: p})
+		buf = nil
+	}
 	s.buffered += len(p)
 	s.unacked += len(p)
 	s.mu.Unlock()
+	dataPool.Put(buf) // coalesced: the frame's own buffer is free again
 	s.readCond.Broadcast()
 	return nil
 }
@@ -580,17 +651,19 @@ func (s *Stream) Read(p []byte) (int, error) {
 	}
 	n := 0
 	for n < len(p) && s.buffered > 0 {
-		chunk := s.chunks[0][s.chunkOff:]
-		c := copy(p[n:], chunk)
-		n += c
-		s.buffered -= c
-		if c == len(chunk) {
-			s.chunks[0] = nil
-			s.chunks = s.chunks[1:]
-			s.chunkOff = 0
-		} else {
-			s.chunkOff += c
+		c := &s.chunks[s.head]
+		k := copy(p[n:], c.b)
+		n += k
+		s.buffered -= k
+		c.b = c.b[k:]
+		if len(c.b) == 0 {
+			dataPool.Put(c.buf)
+			*c = chunk{}
+			s.head++
 		}
+	}
+	if s.head == len(s.chunks) {
+		s.chunks, s.head = s.chunks[:0], 0
 	}
 	// Replenish the peer's credit once we've drained a meaningful share
 	// of the window, batching grants to keep frame chatter low.
@@ -601,13 +674,14 @@ func (s *Stream) Read(p []byte) (int, error) {
 	}
 	s.mu.Unlock()
 	if grant > 0 {
-		s.link.writeRaw(wire.AppendMuxWindow(nil, s.id, uint32(grant)))
+		s.link.writeFrame(wire.MuxWindow, s.id, uint32(grant), false)
 	}
 	return n, nil
 }
 
 // Write sends payload toward the peer, blocking on stream credit (the
-// session-layer backpressure) and splitting at the frame payload cap.
+// session-layer backpressure). Each pass reserves all the credit it can
+// use and sends that span as one writev (see Link.writeData).
 func (s *Stream) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
@@ -631,13 +705,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 			}
 			s.writeCond.Wait()
 		}
-		k := len(p)
-		if k > int(s.sendCredit) {
-			k = int(s.sendCredit)
-		}
-		if k > wire.MaxMuxPayload {
-			k = wire.MaxMuxPayload
-		}
+		k := min(len(p), int(s.sendCredit))
 		s.sendCredit -= uint32(k)
 		withOpen := s.openPending
 		s.openPending = false
@@ -664,12 +732,7 @@ func (s *Stream) CloseWrite() error {
 	withOpen := s.openPending
 	s.openPending = false
 	s.mu.Unlock()
-	var buf []byte
-	if withOpen {
-		buf = wire.AppendMuxFrame(buf, wire.MuxOpen, s.id, nil)
-	}
-	buf = wire.AppendMuxFrame(buf, wire.MuxClose, s.id, nil)
-	return s.link.writeRaw(buf)
+	return s.link.writeFrame(wire.MuxClose, s.id, 0, withOpen)
 }
 
 // Close finishes the stream locally. Unless both directions already
@@ -684,13 +747,16 @@ func (s *Stream) Close() error {
 	s.closed = true
 	clean := s.writeClosed && (s.readClosed || s.resetErr != nil)
 	sendReset := !clean && s.resetErr == nil && !s.openPending
-	s.chunks = nil
+	for _, c := range s.chunks[s.head:] {
+		dataPool.Put(c.buf)
+	}
+	s.chunks, s.head = nil, 0
 	s.buffered = 0
 	s.mu.Unlock()
 	s.readCond.Broadcast()
 	s.writeCond.Broadcast()
 	if sendReset {
-		s.link.writeFrame(wire.MuxReset, s.id, nil)
+		s.link.writeFrame(wire.MuxReset, s.id, 0, false)
 	}
 	s.link.removeStream(s.id)
 	return nil

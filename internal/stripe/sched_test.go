@@ -32,6 +32,19 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	return f.pw.Write(p)
 }
 
+// heldWriter blocks every write until gate closes: a healthy stripe held
+// back so a doomed neighbour is guaranteed the frames it needs to reach
+// its failure point, whatever the scheduler does.
+type heldWriter struct {
+	w    io.Writer
+	gate <-chan struct{}
+}
+
+func (h *heldWriter) Write(p []byte) (int, error) {
+	<-h.gate
+	return h.w.Write(p)
+}
+
 // slowWriter adds a fixed delay per write so per-frame throughput samples
 // are measurable on any clock.
 type slowWriter struct {
@@ -137,11 +150,16 @@ func TestSenderHealsDeadStripe(t *testing.T) {
 	var out bytes.Buffer
 	recv := NewReceiver(&out)
 	downCh := make(chan int, 8)
+	gate := make(chan struct{})
+	var once sync.Once
 	snd, err := NewSender(wire.NewSessionID(), bytes.NewReader(payload), int64(len(payload)), 3,
 		SenderConfig{
-			FrameSize:    8 << 10,
-			QueueFrames:  2,
-			OnStripeDown: func(i int, err error) { downCh <- i },
+			FrameSize:   8 << 10,
+			QueueFrames: 2,
+			OnStripeDown: func(i int, err error) {
+				once.Do(func() { close(gate) })
+				downCh <- i
+			},
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +167,7 @@ func TestSenderHealsDeadStripe(t *testing.T) {
 	var wg sync.WaitGroup
 	attach := func(i, failAt int) {
 		pr, pw := io.Pipe()
-		var w io.Writer = pw
+		var w io.Writer = &heldWriter{w: pw, gate: gate}
 		if failAt > 0 {
 			w = &failAfter{pw: pw, n: failAt}
 		}
@@ -207,11 +225,16 @@ func TestSenderAbandonRedistributes(t *testing.T) {
 	var out bytes.Buffer
 	recv := NewReceiver(&out)
 	downCh := make(chan int, 8)
+	gate := make(chan struct{})
+	var once sync.Once
 	snd, err := NewSender(wire.NewSessionID(), bytes.NewReader(payload), int64(len(payload)), 2,
 		SenderConfig{
-			FrameSize:    8 << 10,
-			QueueFrames:  2,
-			OnStripeDown: func(i int, err error) { downCh <- i },
+			FrameSize:   8 << 10,
+			QueueFrames: 2,
+			OnStripeDown: func(i int, err error) {
+				once.Do(func() { close(gate) })
+				downCh <- i
+			},
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +242,7 @@ func TestSenderAbandonRedistributes(t *testing.T) {
 	var wg sync.WaitGroup
 	attach := func(i, failAt int) {
 		pr, pw := io.Pipe()
-		var w io.Writer = pw
+		var w io.Writer = &heldWriter{w: pw, gate: gate}
 		if failAt > 0 {
 			w = &failAfter{pw: pw, n: failAt}
 		}

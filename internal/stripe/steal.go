@@ -121,6 +121,14 @@ func (s *Sender) effRateLocked(st *stripeState) float64 {
 	return st.ewmaBps
 }
 
+// ackedLocked reports that the stripe has a receiver-measured drain
+// rate. The write-side EWMA rates local buffer acceptance, not delivery:
+// on a buffered path it reads in memcpy units, so reclamation against a
+// merely slow (not wedged) victim trusts only acked rates.
+func ackedLocked(st *stripeState) bool {
+	return st.genAcked && st.ackBps > 0
+}
+
 // writeStuckLocked reports a frame write that has blocked longer than
 // the stuck timeout — the path is wedged, not merely slow.
 func (s *Sender) writeStuckLocked(st *stripeState) bool {
@@ -213,15 +221,19 @@ func (s *Sender) mayEndLocked() bool {
 
 // stealLocked migrates queued-but-unwritten frames from the slowest live
 // stripe to the fastest one with free budget. Only provably useful moves
-// happen: the victim's measured rate must trail the thief's by the steal
-// threshold (or its write must be wedged), so symmetric paths never
-// steal. Returns the callback to fire outside the lock, or nil.
+// happen: the victim's write must be wedged, or both sides must have
+// receiver-acked rates with the victim's trailing the thief's by the
+// steal threshold, so symmetric and ackless paths never steal. Returns
+// the callback to fire outside the lock, or nil.
 func (s *Sender) stealLocked() func() {
 	victim := -1
 	var vRate float64
 	for i, st := range s.stripes {
 		if st.state != stripeLive || len(st.queue) == 0 {
 			continue
+		}
+		if !ackedLocked(st) && !s.writeStuckLocked(st) {
+			continue // unmeasured, not provably slow
 		}
 		r := s.effRateLocked(st)
 		if victim < 0 || r < vRate {
@@ -233,9 +245,6 @@ func (s *Sender) stealLocked() func() {
 	}
 	vs := s.stripes[victim]
 	vStuck := s.writeStuckLocked(vs)
-	if !vStuck && vRate <= 0 {
-		return nil // unmeasured, not provably slow
-	}
 	thief := -1
 	var tRate float64
 	for i, st := range s.stripes {
@@ -246,7 +255,7 @@ func (s *Sender) stealLocked() func() {
 		if r <= 0 {
 			continue
 		}
-		if !vStuck && r < s.stealThreshold*vRate {
+		if !vStuck && (!ackedLocked(st) || r < s.stealThreshold*vRate) {
 			continue
 		}
 		if !s.eligibleLocked(st, vs.queue[len(vs.queue)-1].n) {
@@ -326,11 +335,8 @@ func (s *Sender) speculateLocked() func() {
 			if !vStuck {
 				// Against a merely-slow (not wedged) victim, duplication
 				// costs real bandwidth, so it demands proof: both sides
-				// must have receiver-measured drain rates. The write-side
-				// EWMA rates local buffer acceptance, not delivery — on a
-				// buffered path it reads in memcpy units and would happily
-				// elect the slow stripe as the "fast" thief.
-				if !ts.genAcked || ts.ackBps <= 0 || !vs.genAcked || vs.ackBps <= 0 {
+				// must have receiver-measured drain rates.
+				if !ackedLocked(ts) || !ackedLocked(vs) {
 					continue
 				}
 				if r < s.stealThreshold*vRate {

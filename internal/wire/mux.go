@@ -18,8 +18,8 @@
 // Flow control is per-stream credit: each side may have at most the
 // hello-advertised window of un-acknowledged DATA outstanding per stream,
 // so one fat session cannot head-of-line-starve every other session on
-// the trunk. DATA payloads are additionally capped at MaxMuxPayload so a
-// single frame cannot monopolize the link for long.
+// the trunk. DATA payloads are additionally capped at MaxMuxPayload, which
+// bounds what a receiver buffers per frame.
 //
 // Like the open-header decoder, the frame decoder is bounded: it never
 // allocates more than MaxMuxPayload for a frame and never panics on
@@ -56,8 +56,8 @@ const (
 
 // Mux framing limits.
 const (
-	// MaxMuxPayload caps one DATA frame so a fat stream cannot hold the
-	// trunk for long (latency bound for everyone else on the link).
+	// MaxMuxPayload caps one DATA frame; it sizes the buffers a trunk's
+	// read loop decodes payloads into.
 	MaxMuxPayload = 64 << 10
 	// MaxMuxWindow caps the advertised per-stream receive window.
 	MaxMuxWindow = 64 << 20
@@ -93,10 +93,7 @@ func (h *MuxHello) Encode() []byte {
 // ReadMuxHello reads and validates a hello, magic included.
 func ReadMuxHello(r io.Reader) (*MuxHello, error) {
 	buf := make([]byte, MuxHelloLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
-		}
+	if err := readFull(r, buf); err != nil {
 		return nil, err
 	}
 	if !IsMuxMagic(buf) {
@@ -120,73 +117,109 @@ type MuxFrame struct {
 	Credit  uint32 // WINDOW only
 }
 
+// AppendMuxHeader appends one frame header declaring a length-byte
+// payload; the payload itself follows separately (the trunk's writev
+// path sends it from the caller's buffer).
+func AppendMuxHeader(dst []byte, typ uint8, stream uint32, length int) []byte {
+	var hdr [MuxFrameHeaderLen]byte
+	hdr[0] = typ
+	binary.BigEndian.PutUint32(hdr[1:5], stream)
+	binary.BigEndian.PutUint32(hdr[5:9], uint32(length))
+	return append(dst, hdr[:]...)
+}
+
 // AppendMuxFrame appends an encoded frame header plus payload to dst and
 // returns the extended slice. The caller is responsible for honoring
 // MaxMuxPayload.
 func AppendMuxFrame(dst []byte, typ uint8, stream uint32, payload []byte) []byte {
-	var hdr [MuxFrameHeaderLen]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:5], stream)
-	binary.BigEndian.PutUint32(hdr[5:9], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
+	dst = AppendMuxHeader(dst, typ, stream, len(payload))
 	return append(dst, payload...)
 }
 
 // AppendMuxWindow appends an encoded WINDOW frame granting credit bytes.
 func AppendMuxWindow(dst []byte, stream uint32, credit uint32) []byte {
-	var pay [4]byte
-	binary.BigEndian.PutUint32(pay[:], credit)
-	return AppendMuxFrame(dst, MuxWindow, stream, pay[:])
+	dst = AppendMuxHeader(dst, MuxWindow, stream, 4)
+	return binary.BigEndian.AppendUint32(dst, credit)
 }
 
-// ReadMuxFrame reads and decodes one frame. Allocation is bounded by the
-// declared payload length, which is validated against MaxMuxPayload before
-// any payload allocation, so a malformed length cannot over-allocate.
+// ReadMuxFrame reads and decodes one frame into a fresh MuxFrame with a
+// freshly allocated payload. Allocation is bounded by the declared
+// payload length, which is validated against MaxMuxPayload before any
+// payload allocation, so a malformed length cannot over-allocate.
 func ReadMuxFrame(r io.Reader) (*MuxFrame, error) {
-	var hdr [MuxFrameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	d := MuxDecoder{R: r}
+	f := new(MuxFrame)
+	if err := d.Decode(f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// MuxDecoder decodes a sequence of frames from R. Its header scratch
+// lives in the decoder, so a long-lived decoder allocates nothing per
+// frame beyond what Payload hands out.
+type MuxDecoder struct {
+	R io.Reader
+	// Payload, when set, returns the buffer a DATA payload of n bytes
+	// (1 <= n <= MaxMuxPayload) is read into; it must be at least n
+	// bytes long. When nil, each payload gets a fresh allocation.
+	Payload func(n int) []byte
+
+	hdr [MuxFrameHeaderLen]byte
+}
+
+// Decode reads one frame into f, overwriting every field. A DATA
+// payload is f.Payload, the first n bytes of the buffer Payload
+// returned; that buffer belongs to the caller even when Decode fails
+// after obtaining it. io.EOF before the first header byte passes
+// through: a clean end of the link.
+func (d *MuxDecoder) Decode(f *MuxFrame) error {
+	if _, err := io.ReadFull(d.R, d.hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
-		return nil, err // io.EOF passes through: clean end-of-link
+		return err
 	}
-	f := &MuxFrame{
-		Type:   hdr[0],
-		Stream: binary.BigEndian.Uint32(hdr[1:5]),
+	*f = MuxFrame{
+		Type:   d.hdr[0],
+		Stream: binary.BigEndian.Uint32(d.hdr[1:5]),
 	}
-	length := binary.BigEndian.Uint32(hdr[5:9])
+	length := binary.BigEndian.Uint32(d.hdr[5:9])
 	switch f.Type {
 	case MuxOpen, MuxClose, MuxReset:
 		if length != 0 {
-			return nil, fmt.Errorf("%w: %s frame with %d-byte payload", ErrBadMuxFrame, MuxTypeString(f.Type), length)
+			return fmt.Errorf("%w: %s frame with %d-byte payload", ErrBadMuxFrame, MuxTypeString(f.Type), length)
 		}
 	case MuxWindow:
 		if length != 4 {
-			return nil, fmt.Errorf("%w: WINDOW frame with %d-byte payload", ErrBadMuxFrame, length)
+			return fmt.Errorf("%w: WINDOW frame with %d-byte payload", ErrBadMuxFrame, length)
 		}
-		var pay [4]byte
-		if _, err := io.ReadFull(r, pay[:]); err != nil {
-			return nil, ErrTruncated
+		if _, err := io.ReadFull(d.R, d.hdr[:4]); err != nil {
+			return ErrTruncated
 		}
-		f.Credit = binary.BigEndian.Uint32(pay[:])
+		f.Credit = binary.BigEndian.Uint32(d.hdr[:4])
 		if f.Credit == 0 || f.Credit > MaxMuxWindow {
-			return nil, ErrBadMuxWindow
+			return ErrBadMuxWindow
 		}
 	case MuxData:
 		if length == 0 || length > MaxMuxPayload {
-			return nil, fmt.Errorf("%w: DATA frame length %d", ErrBadMuxFrame, length)
+			return fmt.Errorf("%w: DATA frame length %d", ErrBadMuxFrame, length)
 		}
-		f.Payload = make([]byte, length)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return nil, ErrTruncated
+		if d.Payload != nil {
+			f.Payload = d.Payload(int(length))[:length]
+		} else {
+			f.Payload = make([]byte, length)
+		}
+		if _, err := io.ReadFull(d.R, f.Payload); err != nil {
+			return ErrTruncated
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown type %d", ErrBadMuxFrame, f.Type)
+		return fmt.Errorf("%w: unknown type %d", ErrBadMuxFrame, f.Type)
 	}
 	if f.Stream == 0 {
-		return nil, fmt.Errorf("%w: stream id 0", ErrBadMuxFrame)
+		return fmt.Errorf("%w: stream id 0", ErrBadMuxFrame)
 	}
-	return f, nil
+	return nil
 }
 
 // MuxTypeString names a frame type for diagnostics.

@@ -148,15 +148,21 @@ func FuzzReadMuxHello(f *testing.F) {
 }
 
 // FuzzReadMuxFrame drives the frame decoder with arbitrary bytes; it
-// must never panic or over-allocate, and accepted frames must re-encode
-// losslessly.
+// must never panic or over-allocate, accepted frames must re-encode
+// losslessly, and decoding into caller-supplied buffers (the trunk read
+// loop's path) must agree with the allocating decoder on the whole
+// input.
 func FuzzReadMuxFrame(f *testing.F) {
 	f.Add(AppendMuxFrame(nil, MuxOpen, 1, nil))
 	f.Add(AppendMuxFrame(nil, MuxData, 2, []byte("payload")))
 	f.Add(AppendMuxWindow(nil, 3, 4096))
 	f.Add([]byte{MuxData, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{})
+	f.Add(AppendMuxWindow(AppendMuxFrame(AppendMuxFrame(nil, MuxOpen, 1, nil), MuxData, 1, []byte("ab")), 1, 4096))
+	f.Add(AppendMuxFrame(nil, MuxData, 3, bytes.Repeat([]byte{7}, 300))[:200])
+	buf := bytes.Repeat([]byte{0xA5}, MaxMuxPayload)
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		comparePooledDecode(t, raw, buf)
 		fr, err := ReadMuxFrame(bytes.NewReader(raw))
 		if err != nil {
 			return
@@ -174,6 +180,43 @@ func FuzzReadMuxFrame(f *testing.F) {
 			t.Fatal("lossy frame round trip")
 		}
 	})
+}
+
+// comparePooledDecode decodes raw frame by frame twice — allocating, and
+// into buf, which holds stale bytes — and fails on any difference in
+// frames, errors, or bytes consumed, or on a payload that is not a
+// prefix of buf.
+func comparePooledDecode(t *testing.T, raw, buf []byte) {
+	t.Helper()
+	alloc := bytes.NewReader(raw)
+	pooled := bytes.NewReader(raw)
+	dec := MuxDecoder{R: pooled, Payload: func(n int) []byte {
+		if n < 1 || n > MaxMuxPayload {
+			t.Fatalf("payload callback asked for %d bytes", n)
+		}
+		return buf
+	}}
+	var got MuxFrame
+	for {
+		want, werr := ReadMuxFrame(alloc)
+		gerr := dec.Decode(&got)
+		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+			t.Fatalf("errors differ: allocating %v, pooled %v", werr, gerr)
+		}
+		if alloc.Len() != pooled.Len() {
+			t.Fatalf("consumed differ: allocating left %d bytes, pooled %d", alloc.Len(), pooled.Len())
+		}
+		if werr != nil {
+			return
+		}
+		if got.Type != want.Type || got.Stream != want.Stream || got.Credit != want.Credit ||
+			!bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("frames differ: allocating %+v, pooled %+v", want, got)
+		}
+		if got.Payload != nil && &got.Payload[0] != &buf[0] {
+			t.Fatal("pooled payload does not alias the supplied buffer")
+		}
+	}
 }
 
 // FuzzReadAcceptFrame: same contract for the backward-channel accept

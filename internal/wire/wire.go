@@ -190,17 +190,20 @@ func (h *OpenHeader) Encode() ([]byte, error) {
 	return out, nil
 }
 
-// ReadOpenHeader reads and decodes an open header from r.
+// ReadOpenHeader reads and decodes an open header from r. The magic is
+// read and checked before the rest of the fixed part, so a peer speaking
+// another protocol with a shorter greeting (a trunk's 12-byte LSLM hello)
+// is refused at once instead of waiting out the handshake deadline.
 func ReadOpenHeader(r io.Reader) (*OpenHeader, error) {
 	fixed := make([]byte, openFixedLen)
-	if _, err := io.ReadFull(r, fixed); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
-		}
+	if err := readFull(r, fixed[:4]); err != nil {
 		return nil, err
 	}
 	if !bytes.Equal(fixed[:4], magicOpen[:]) {
 		return nil, ErrBadMagic
+	}
+	if err := readFull(r, fixed[4:]); err != nil {
+		return nil, err
 	}
 	if fixed[4] != Version {
 		return nil, ErrBadVersion
@@ -241,6 +244,17 @@ func ReadOpenHeader(r io.Reader) (*OpenHeader, error) {
 		return nil, err
 	}
 	return h, nil
+}
+
+// readFull fills b from r, reporting a short read as ErrTruncated.
+func readFull(r io.Reader, b []byte) error {
+	if _, err := io.ReadFull(r, b); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return ErrTruncated
+		}
+		return err
+	}
+	return nil
 }
 
 // Accept codes.
@@ -291,10 +305,7 @@ func (a *AcceptFrame) Encode() []byte {
 // ReadAcceptFrame reads and decodes an accept frame from r.
 func ReadAcceptFrame(r io.Reader) (*AcceptFrame, error) {
 	buf := make([]byte, acceptLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
-		}
+	if err := readFull(r, buf); err != nil {
 		return nil, err
 	}
 	if !bytes.Equal(buf[:4], magicAccept[:]) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func sampleHeader() *OpenHeader {
@@ -123,6 +124,44 @@ func TestDecodeBadMagic(t *testing.T) {
 	enc[0] = 'X'
 	if _, err := ReadOpenHeader(bytes.NewReader(enc)); err != ErrBadMagic {
 		t.Fatalf("err=%v", err)
+	}
+}
+
+// blockingReader yields its bytes, then blocks until done closes — a
+// peer that sent a short greeting and now waits for an answer.
+type blockingReader struct {
+	r    io.Reader
+	done chan struct{}
+}
+
+func (b *blockingReader) Read(p []byte) (int, error) {
+	if n, err := b.r.Read(p); n > 0 || err != io.EOF {
+		return n, err
+	}
+	<-b.done
+	return 0, io.EOF
+}
+
+// TestDecodeMuxHelloFailsFast: a trunk hello is 12 bytes, shorter than
+// the open header's fixed part, and the prober then waits for a reply.
+// The decoder must refuse it on the magic alone instead of blocking for
+// the rest of a header that will never come.
+func TestDecodeMuxHelloFailsFast(t *testing.T) {
+	done := make(chan struct{})
+	defer close(done)
+	hello := (&MuxHello{Window: 1 << 16}).Encode()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := ReadOpenHeader(&blockingReader{r: bytes.NewReader(hello), done: done})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err != ErrBadMagic {
+			t.Fatalf("err=%v, want %v", err, ErrBadMagic)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ReadOpenHeader blocked on a trunk hello")
 	}
 }
 
