@@ -153,12 +153,11 @@ func muxSink(b *testing.B) string {
 					nc.Close()
 					return
 				}
-				pc := newPrefixConn(nc, probe)
 				if !wire.IsMuxMagic(probe) {
-					sinkSession(pc)
+					sinkSession(newPrefixConn(nc, probe))
 					return
 				}
-				link, err := mux.Server(pc, mux.LinkConfig{})
+				link, err := mux.Server(nc, mux.LinkConfig{}, probe...)
 				if err != nil {
 					nc.Close()
 					return

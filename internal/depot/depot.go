@@ -211,9 +211,10 @@ type Stats struct {
 	BytesForward  uint64
 	BytesBackward uint64
 	Active        int64
-	// MaxBuffered is the high-water mark of a single relay-buffer fill —
-	// the largest read the relay loop has moved in one step, bounded by
-	// the configured buffer size.
+	// MaxBuffered is the high-water mark of a single relay batch — the
+	// most the relay loop has moved in one step: one relay-buffer fill,
+	// bounded by the configured buffer size, or one hand-off of a trunk
+	// stream's queued chunks, bounded by the trunk window.
 	MaxBuffered int64
 	// ControlWriteFailures counts accept/reject frames dropped because the
 	// peer stalled past the write deadline.
@@ -335,7 +336,7 @@ func New(cfg Config) *Depot {
 	d.active = reg.Gauge("lsd_sessions_active",
 		"Relay sessions in flight right now.")
 	d.relayHigh = reg.Gauge("lsd_relay_buffer_high_water_bytes",
-		"Largest single relay-buffer fill observed, bounded by the configured buffer size.")
+		"Largest single relay batch observed: a relay-buffer fill (bounded by the configured buffer size) or a trunk stream's queued chunks handed to the next hop (bounded by the trunk window).")
 	d.sessionDur = reg.HistogramVec("lsd_session_duration_seconds",
 		"Session duration from header receipt to teardown, by outcome.", "outcome", durationBuckets)
 	d.sessionBytes = reg.Histogram("lsd_session_bytes",
@@ -638,20 +639,21 @@ func (d *Depot) handleConn(ctx context.Context, nc net.Conn) {
 		return
 	}
 	if wire.IsMuxMagic(magic[:]) {
-		d.serveLink(ctx, newPrefixConn(nc, magic[:]))
+		d.serveLink(ctx, nc, magic[:])
 		return
 	}
 	nc.SetReadDeadline(time.Time{})
 	d.handle(ctx, newPrefixConn(nc, magic[:]))
 }
 
-// serveLink runs one accept-side trunk: every stream the peer opens is
-// handled as an ordinary session (same admission, registry, and metrics
-// as a per-connection session). The link drains on Close — new streams
+// serveLink runs one accept-side trunk on nc, whose first hello bytes
+// the probe already read: every stream the peer opens is handled as an
+// ordinary session (same admission, registry, and metrics as a
+// per-connection session). The link drains on Close — new streams
 // refused, live sessions run to completion — and is torn down outright
 // when the root context cancels.
-func (d *Depot) serveLink(ctx context.Context, nc net.Conn) {
-	link, err := mux.Server(nc, mux.LinkConfig{Logf: d.cfg.Logf})
+func (d *Depot) serveLink(ctx context.Context, nc net.Conn, probed []byte) {
+	link, err := mux.Server(nc, mux.LinkConfig{Logf: d.cfg.Logf}, probed...)
 	if err != nil {
 		d.logf("depot: trunk handshake from %v: %v", nc.RemoteAddr(), err)
 		nc.Close()
@@ -732,8 +734,30 @@ type prefixConn struct {
 	prefix []byte
 }
 
+// handOffPrefixConn is a prefixConn over a conn that hands its queued
+// buffers to the relay itself (a mux stream); the wrapper keeps that
+// fast path open.
+type handOffPrefixConn struct{ *prefixConn }
+
 func newPrefixConn(nc net.Conn, prefix []byte) net.Conn {
-	return &prefixConn{Conn: nc, prefix: append([]byte(nil), prefix...)}
+	p := &prefixConn{Conn: nc, prefix: append([]byte(nil), prefix...)}
+	if _, ok := nc.(xfer.HandOff); ok {
+		return handOffPrefixConn{p}
+	}
+	return p
+}
+
+// HandOff replays the prefix as one batch, then delegates.
+func (p handOffPrefixConn) HandOff(dst io.Writer) (int, error) {
+	if len(p.prefix) > 0 {
+		n, err := dst.Write(p.prefix)
+		if err == nil && n < len(p.prefix) {
+			err = io.ErrShortWrite
+		}
+		p.prefix = p.prefix[n:]
+		return n, err
+	}
+	return p.Conn.(xfer.HandOff).HandOff(dst)
 }
 
 func (p *prefixConn) Read(b []byte) (int, error) {
@@ -921,22 +945,17 @@ func (s *session) fail(counter *metrics.Counter, outcome string, code uint8) {
 }
 
 // finish is the single exit path for every session state: it releases the
-// admission slot, writes the reject frame when asked, closes both
-// transports, and records the ring entry plus the per-outcome duration
-// histogram (and the session-bytes histogram once the session went live).
+// admission slot, records the ring entry plus the per-outcome duration
+// histogram (and the session-bytes histogram once the session went live),
+// then writes the reject frame when asked and closes both transports.
+// Bookkeeping comes first so that a peer that has seen the outcome on the
+// wire always finds it in /sessions too.
 func (s *session) finish(outcome string, code uint8) {
 	if s.state == stateDone {
 		return
 	}
 	s.state = stateDone
 	d := s.d
-	if code != 0 {
-		d.reject(s.up, s.hdr.Session, code)
-	}
-	s.up.Close()
-	if s.down != nil {
-		s.down.Close()
-	}
 	if s.admitted {
 		d.active.Dec()
 		s.admitted = false
@@ -969,6 +988,13 @@ func (s *session) finish(outcome string, code uint8) {
 		d.sessions.record(info)
 	}
 	d.sessionDur.With(outcome).Observe(dur.Seconds())
+	if code != 0 {
+		d.reject(s.up, s.hdr.Session, code)
+	}
+	s.up.Close()
+	if s.down != nil {
+		s.down.Close()
+	}
 }
 
 // remoteAddr names a peer for session records (nil-safe).

@@ -346,11 +346,49 @@ func TestLinkTeardownMidStream(t *testing.T) {
 }
 
 // TestStreamAllocationBounded: carrying bytes over a trunk allocates
-// next to nothing per byte — inbound payloads land in pooled buffers and
-// outbound spans go out from the caller's slice.
+// next to nothing per byte — inbound payloads land in pooled buffers,
+// outbound spans go out from the caller's slice, and a relay through
+// xfer.CopyCounted hands the pooled buffers on to the next stream or
+// TCP conn without scratch of its own. The bound is per MiB per trunk
+// hop, so a relay over two trunks may allocate twice what one does.
 func TestStreamAllocationBounded(t *testing.T) {
+	t.Run("direct", func(t *testing.T) {
+		allocPerMiB(t, 1, func(s *Stream) (io.Reader, error) { return s, nil })
+	})
+	t.Run("stream-to-stream", func(t *testing.T) {
+		downC, downS := linkPair(t, LinkConfig{})
+		allocPerMiB(t, 2, func(s *Stream) (io.Reader, error) {
+			ds, err := downC.OpenStream()
+			if err != nil {
+				return nil, err
+			}
+			go relayAndClose(ds, s, ds.CloseWrite)
+			return downS.AcceptStream()
+		})
+	})
+	t.Run("stream-to-TCP", func(t *testing.T) {
+		a, b := tcpPair(t)
+		allocPerMiB(t, 1, func(s *Stream) (io.Reader, error) {
+			go relayAndClose(a, s, a.CloseWrite)
+			return b, nil
+		})
+	})
+}
+
+// relayAndClose relays src to dst through CopyCounted, as the depot
+// does, then half-closes dst.
+func relayAndClose(dst io.Writer, src *Stream, closeWrite func() error) {
+	relayThrough(dst, src)
+	closeWrite()
+}
+
+// allocPerMiB sends 4 MiB to warm the pools and scratch, then 16 MiB,
+// over a fresh trunk; sink turns the accepted stream into the reader the
+// bytes finally arrive on. It fails when the process allocated more than
+// allocBoundKBPerMiB per MiB per trunk hop along the way.
+func allocPerMiB(t *testing.T, hops int, sink func(*Stream) (io.Reader, error)) {
 	client, srv := linkPair(t, LinkConfig{})
-	const total = 16 << 20
+	const warm, total = 4 << 20, 16 << 20
 	payload := pattern(1, 1<<20)
 	recvd := make(chan int64, 1)
 	go func() {
@@ -360,7 +398,12 @@ func TestStreamAllocationBounded(t *testing.T) {
 			return
 		}
 		defer s.Close()
-		n, _ := io.CopyBuffer(struct{ io.Writer }{io.Discard}, struct{ io.Reader }{s}, make([]byte, 64<<10))
+		r, err := sink(s)
+		if err != nil {
+			recvd <- 0
+			return
+		}
+		n, _ := io.CopyBuffer(struct{ io.Writer }{io.Discard}, struct{ io.Reader }{r}, make([]byte, 64<<10))
 		recvd <- n
 	}()
 	cs, err := client.OpenStream()
@@ -375,19 +418,19 @@ func TestStreamAllocationBounded(t *testing.T) {
 			}
 		}
 	}
-	send(1 << 20) // warm the pool and the link's write scratch
+	send(warm) // warm the pools and the links' write scratch
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	send(total)
 	cs.CloseWrite()
-	if n := <-recvd; n != total+1<<20 {
-		t.Fatalf("received %d bytes, want %d", n, total+1<<20)
+	if n := <-recvd; n != warm+total {
+		t.Fatalf("received %d bytes, want %d", n, warm+total)
 	}
 	runtime.ReadMemStats(&after)
-	perMiB := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / (total >> 20)
-	t.Logf("%.1f KB allocated per MiB carried", perMiB)
+	perMiB := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / (total >> 20) / float64(hops)
+	t.Logf("%.1f KB allocated per MiB per trunk hop", perMiB)
 	if perMiB >= allocBoundKBPerMiB {
-		t.Fatalf("%.1f KB allocated per MiB carried, want < %d", perMiB, allocBoundKBPerMiB)
+		t.Fatalf("%.1f KB allocated per MiB per trunk hop, want < %d", perMiB, allocBoundKBPerMiB)
 	}
 }

@@ -28,6 +28,7 @@ package mux
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -43,8 +44,17 @@ import (
 // dataPool holds the buffers inbound DATA payloads are read into. A
 // buffer belongs to the link's read loop until Stream.deliverData takes
 // it, and to the stream after that, which returns it once Read drains
-// it, Close drops it, or the payload is refused (see DESIGN §9).
+// it, Close drops it, or the payload is refused. HandOff detaches queued
+// buffers from the stream and returns them once written on (see DESIGN
+// §9).
 var dataPool = xfer.PoolFor(wire.MaxMuxPayload)
+
+// bufPool is where a link takes its DATA buffers from and returns them
+// to: dataPool, unless a test audits the link's buffer ownership.
+type bufPool interface {
+	Get() *[]byte
+	Put(b *[]byte)
+}
 
 // readBufSize sizes the read loop's bufio.Reader: enough to batch
 // control frames and headers into one read, small enough that bulk
@@ -83,6 +93,8 @@ type LinkConfig struct {
 	// open/close (called without link locks held). Pools use it for
 	// idle-timeout tracking and stream gauges.
 	StreamCount func(n int)
+
+	pool bufPool // DATA buffers; dataPool when nil
 }
 
 func (c LinkConfig) withDefaults() LinkConfig {
@@ -97,6 +109,9 @@ func (c LinkConfig) withDefaults() LinkConfig {
 	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 30 * time.Second
+	}
+	if c.pool == nil {
+		c.pool = dataPool
 	}
 	return c
 }
@@ -147,11 +162,13 @@ func Client(nc net.Conn, cfg LinkConfig) (*Link, error) {
 	return l, nil
 }
 
-// Server performs the accept-side hello exchange on nc (reading the full
-// hello, magic included — prepend any probed bytes) and starts the link.
-func Server(nc net.Conn, cfg LinkConfig) (*Link, error) {
+// Server performs the accept-side hello exchange on nc and starts the
+// link. probed holds the leading hello bytes a protocol probe already
+// read from nc (the magic), so the link can run on nc itself: a wrapper
+// replaying them would hide nc's writev from the link's writes.
+func Server(nc net.Conn, cfg LinkConfig, probed ...byte) (*Link, error) {
 	cfg = cfg.withDefaults()
-	peer, err := wire.ReadMuxHello(nc)
+	peer, err := wire.ReadMuxHello(io.MultiReader(bytes.NewReader(probed), nc))
 	if err != nil {
 		return nil, fmt.Errorf("mux: read hello: %w", err)
 	}
@@ -360,14 +377,14 @@ func (l *Link) readLoop() {
 	dec := wire.MuxDecoder{
 		R: bufio.NewReaderSize(l.nc, readBufSize),
 		Payload: func(int) []byte {
-			buf = dataPool.Get()
+			buf = l.cfg.pool.Get()
 			return *buf
 		},
 	}
 	var f wire.MuxFrame
 	for {
 		if err := dec.Decode(&f); err != nil {
-			dataPool.Put(buf)
+			l.cfg.pool.Put(buf)
 			l.closeWithError(fmt.Errorf("mux: link read: %w", err))
 			return
 		}
@@ -378,7 +395,7 @@ func (l *Link) readLoop() {
 			s := l.lookup(f.Stream)
 			if s == nil {
 				// Unknown stream: recently closed locally; drop quietly.
-				dataPool.Put(buf)
+				l.cfg.pool.Put(buf)
 			} else if err := s.deliverData(buf, f.Payload); err != nil {
 				l.closeWithError(err)
 				return
@@ -458,17 +475,17 @@ func (l *Link) writeFrame(typ uint8, stream, credit uint32, withOpen bool) error
 	return l.writevUnlock(append(l.iov[:0], b))
 }
 
-// writeData sends one credit-reserved span as DATA frames of at most
-// MaxMuxPayload bytes in a single writev: each frame's header sits in
-// link-owned scratch and its payload is sent from p in place. A pending
-// OPEN rides in front of the first header, so opening a session over a
-// warm trunk costs no extra packet.
-func (l *Link) writeData(stream uint32, p []byte, withOpen bool) error {
-	frames := (len(p) + wire.MaxMuxPayload - 1) / wire.MaxMuxPayload
-	need := frames * wire.MuxFrameHeaderLen
-	if withOpen {
-		need += wire.MuxFrameHeaderLen
-	}
+// writeData sends the first k bytes of bufs, one credit-reserved span,
+// as DATA frames in a single writev and returns the unsent rest of bufs
+// (it reslices bufs' elements). A frame carries at most MaxMuxPayload
+// bytes of one buffer: its header sits in link-owned scratch and its
+// payload is sent from the buffer in place. A pending OPEN rides in
+// front of the first header, so opening a session over a warm trunk
+// costs no extra packet.
+func (l *Link) writeData(stream uint32, bufs [][]byte, k int, withOpen bool) ([][]byte, error) {
+	// A buffer boundary ends a frame early at most once per buffer; one
+	// more header is for the OPEN.
+	need := (k/wire.MaxMuxPayload + len(bufs) + 1) * wire.MuxFrameHeaderLen
 	l.wmu.Lock()
 	if cap(l.hdr) < need {
 		l.hdr = make([]byte, 0, need)
@@ -479,13 +496,18 @@ func (l *Link) writeData(stream uint32, p []byte, withOpen bool) error {
 		hdr = wire.AppendMuxHeader(hdr, wire.MuxOpen, stream, 0)
 	}
 	iov := l.iov[:0]
-	for mark := 0; len(p) > 0; mark = len(hdr) {
-		k := min(len(p), wire.MaxMuxPayload)
-		hdr = wire.AppendMuxHeader(hdr, wire.MuxData, stream, k)
-		iov = append(iov, hdr[mark:], p[:k])
-		p = p[k:]
+	for mark := 0; k > 0; mark = len(hdr) {
+		for len(bufs[0]) == 0 {
+			bufs = bufs[1:]
+		}
+		p := bufs[0]
+		n := min(k, len(p), wire.MaxMuxPayload)
+		hdr = wire.AppendMuxHeader(hdr, wire.MuxData, stream, n)
+		iov = append(iov, hdr[mark:], p[:n])
+		bufs[0] = p[n:]
+		k -= n
 	}
-	return l.writevUnlock(iov)
+	return bufs, l.writevUnlock(iov)
 }
 
 // writevUnlock writes iov in one writev under the frame write timeout,
@@ -538,7 +560,7 @@ type Stream struct {
 }
 
 // chunk is one queued inbound payload: the unread bytes b of the pooled
-// buffer buf, which goes back to dataPool once b drains.
+// buffer buf, which goes back to the link's pool once b drains.
 type chunk struct {
 	buf *[]byte
 	b   []byte
@@ -570,12 +592,12 @@ func (s *Stream) deliverData(buf *[]byte, p []byte) error {
 	s.mu.Lock()
 	if s.closed || s.resetErr != nil || s.readClosed {
 		s.mu.Unlock()
-		dataPool.Put(buf)
+		s.link.cfg.pool.Put(buf)
 		return nil // stale data for a locally finished stream
 	}
 	if s.unacked+len(p) > s.link.cfg.Window {
 		s.mu.Unlock()
-		dataPool.Put(buf)
+		s.link.cfg.pool.Put(buf)
 		return fmt.Errorf("mux: stream %d overran its %d-byte receive window", s.id, s.link.cfg.Window)
 	}
 	if n := len(s.chunks); n > s.head && cap(s.chunks[n-1].b)-len(s.chunks[n-1].b) >= len(p) {
@@ -593,7 +615,7 @@ func (s *Stream) deliverData(buf *[]byte, p []byte) error {
 	s.buffered += len(p)
 	s.unacked += len(p)
 	s.mu.Unlock()
-	dataPool.Put(buf) // coalesced: the frame's own buffer is free again
+	s.link.cfg.pool.Put(buf) // coalesced: the frame's own buffer is free again
 	s.readCond.Broadcast()
 	return nil
 }
@@ -623,31 +645,34 @@ func (s *Stream) addCredit(n uint32) {
 	s.writeCond.Broadcast()
 }
 
+// waitData blocks, with s.mu held, until payload is queued. Once nothing
+// is queued it returns what ends the read side instead: the reset, EOF
+// after the peer's CLOSE, the local Close, or the read deadline.
+func (s *Stream) waitData() error {
+	for s.buffered == 0 {
+		if s.resetErr != nil {
+			return s.resetErr
+		}
+		if s.readClosed {
+			return io.EOF
+		}
+		if s.closed {
+			return ErrLinkClosed
+		}
+		if s.rdeadline.expired() {
+			return os.ErrDeadlineExceeded
+		}
+		s.readCond.Wait()
+	}
+	return nil
+}
+
 // Read returns stream payload; EOF after the peer's CLOSE drains.
 func (s *Stream) Read(p []byte) (int, error) {
 	s.mu.Lock()
-	for {
-		if s.buffered > 0 {
-			break
-		}
-		if s.resetErr != nil {
-			err := s.resetErr
-			s.mu.Unlock()
-			return 0, err
-		}
-		if s.readClosed {
-			s.mu.Unlock()
-			return 0, io.EOF
-		}
-		if s.closed {
-			s.mu.Unlock()
-			return 0, ErrLinkClosed
-		}
-		if s.rdeadline.expired() {
-			s.mu.Unlock()
-			return 0, os.ErrDeadlineExceeded
-		}
-		s.readCond.Wait()
+	if err := s.waitData(); err != nil {
+		s.mu.Unlock()
+		return 0, err
 	}
 	n := 0
 	for n < len(p) && s.buffered > 0 {
@@ -657,7 +682,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 		s.buffered -= k
 		c.b = c.b[k:]
 		if len(c.b) == 0 {
-			dataPool.Put(c.buf)
+			s.link.cfg.pool.Put(c.buf)
 			*c = chunk{}
 			s.head++
 		}
@@ -679,12 +704,82 @@ func (s *Stream) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// batch is the scratch of one HandOff: the detached chunks' pooled
+// buffers and their bytes as one iovec list. Batches are pooled, so
+// relaying over a fresh stream allocates no scratch of its own.
+type batch struct {
+	bufs []*[]byte
+	iov  net.Buffers
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
+
+// HandOff passes every queued chunk to dst with no user-space copy (it
+// makes Stream an xfer.HandOff, the relay's fast path). A dst that is a
+// Stream sends the chunks as DATA frames straight from their pooled
+// buffers, one writev per credit span; any other writer gets them as one
+// net.Buffers writev. The chunks leave the stream under its lock and
+// their credit goes back to the peer at once, so a relayed stream pins
+// at most a full queue plus the batch in flight: about two windows, as
+// with a copying relay buffer of one window. The buffers return to the
+// pool exactly once, after the write, whatever its outcome.
+func (s *Stream) HandOff(dst io.Writer) (int, error) {
+	s.mu.Lock()
+	if err := s.waitData(); err != nil {
+		s.mu.Unlock()
+		return 0, err
+	}
+	b := batchPool.Get().(*batch)
+	for i := s.head; i < len(s.chunks); i++ {
+		c := &s.chunks[i]
+		b.bufs = append(b.bufs, c.buf)
+		b.iov = append(b.iov, c.b)
+		*c = chunk{}
+	}
+	n, grant := s.buffered, s.unacked
+	s.chunks, s.head, s.buffered, s.unacked = s.chunks[:0], 0, 0, 0
+	s.mu.Unlock()
+	if grant > 0 {
+		s.link.writeFrame(wire.MuxWindow, s.id, uint32(grant), false)
+	}
+	iov := b.iov // both writers reslice it; keep the backing array
+	var written int
+	var err error
+	if ds, ok := dst.(*Stream); ok {
+		written, err = ds.writeBufs(b.iov)
+	} else {
+		var w int64
+		w, err = b.iov.WriteTo(dst)
+		written = int(w)
+	}
+	for _, buf := range b.bufs {
+		s.link.cfg.pool.Put(buf)
+	}
+	clear(b.bufs)
+	clear(iov)
+	b.bufs, b.iov = b.bufs[:0], iov[:0]
+	batchPool.Put(b)
+	if err == nil && written < n {
+		err = io.ErrShortWrite
+	}
+	return written, err
+}
+
 // Write sends payload toward the peer, blocking on stream credit (the
-// session-layer backpressure). Each pass reserves all the credit it can
-// use and sends that span as one writev (see Link.writeData).
+// session-layer backpressure).
 func (s *Stream) Write(p []byte) (int, error) {
+	return s.writeBufs([][]byte{p})
+}
+
+// writeBufs sends bufs in order. Each pass reserves all the credit it
+// can use and sends that span as one writev (see Link.writeData).
+func (s *Stream) writeBufs(bufs [][]byte) (int, error) {
+	left := 0
+	for _, p := range bufs {
+		left += len(p)
+	}
 	total := 0
-	for len(p) > 0 {
+	for left > 0 {
 		s.mu.Lock()
 		for {
 			if s.resetErr != nil {
@@ -705,16 +800,17 @@ func (s *Stream) Write(p []byte) (int, error) {
 			}
 			s.writeCond.Wait()
 		}
-		k := min(len(p), int(s.sendCredit))
+		k := min(left, int(s.sendCredit))
 		s.sendCredit -= uint32(k)
 		withOpen := s.openPending
 		s.openPending = false
 		s.mu.Unlock()
-		if err := s.link.writeData(s.id, p[:k], withOpen); err != nil {
+		var err error
+		if bufs, err = s.link.writeData(s.id, bufs, k, withOpen); err != nil {
 			return total, err
 		}
 		total += k
-		p = p[k:]
+		left -= k
 	}
 	return total, nil
 }
@@ -748,7 +844,7 @@ func (s *Stream) Close() error {
 	clean := s.writeClosed && (s.readClosed || s.resetErr != nil)
 	sendReset := !clean && s.resetErr == nil && !s.openPending
 	for _, c := range s.chunks[s.head:] {
-		dataPool.Put(c.buf)
+		s.link.cfg.pool.Put(c.buf)
 	}
 	s.chunks, s.head = nil, 0
 	s.buffered = 0

@@ -9,7 +9,9 @@
 // Buffers come from size-classed sync.Pool-backed pools (PoolFor), so a
 // depot moving millions of sessions performs no per-session buffer
 // allocation: a session borrows a buffer for exactly as long as bytes are
-// moving and returns it on the way out.
+// moving and returns it on the way out. A source whose bytes already sit
+// in pooled buffers (a mux trunk stream) hands them to the next hop
+// itself (HandOff) and borrows no relay buffer at all.
 package xfer
 
 import (
@@ -92,19 +94,33 @@ func (a AtomicAdder) Add(n uint64) { a.U.Add(n) }
 // MaxSetter tracks a high-water mark. *metrics.Gauge satisfies it.
 type MaxSetter interface{ SetMax(v int64) }
 
+// HandOff is a source that passes its own queued buffers to the next
+// hop, so CopyCounted moves them without copying them through a relay
+// buffer. A mux stream is one: its inbound payloads already sit in
+// pooled buffers.
+type HandOff interface {
+	// HandOff blocks until bytes are queued, writes all of them to dst
+	// as one batch, and returns how many were written. It returns the
+	// source's read error (io.EOF at a clean end) only once nothing is
+	// queued, so queued bytes drain first. A failed write returns its
+	// error, a short one io.ErrShortWrite, with the bytes written before.
+	HandOff(dst io.Writer) (int, error)
+}
+
 // CopyConfig threads per-session observability and lifecycle into one
 // counted copy. The zero value is a plain pooled copy.
 type CopyConfig struct {
-	// Counters are credited with each chunk after it is written (the
+	// Counters are credited with each batch after it is written (the
 	// session's live byte counter, the depot-wide direction total, ...).
 	Counters []Adder
-	// HighWater, when set, records the largest single read — the relay
-	// buffer fill level.
+	// HighWater, when set, records the largest single batch: one read
+	// into the relay buffer, or one hand-off of a source's queued
+	// buffers.
 	HighWater MaxSetter
-	// Progress, when set, is called with each chunk's size after it is
+	// Progress, when set, is called with each batch's size after it is
 	// written (rate estimation, per-transfer progress).
 	Progress func(n int)
-	// Ctx, when set, cancels the copy between chunks. A read or write
+	// Ctx, when set, cancels the copy between batches. A read or write
 	// blocked on a dead peer does not observe Ctx on its own — the owner
 	// of the transport must close it on cancellation (the depot's session
 	// watchdog does exactly that); the next Read/Write then fails and the
@@ -112,15 +128,20 @@ type CopyConfig struct {
 	Ctx context.Context
 }
 
-// CopyCounted moves bytes from src to dst through a buffer borrowed from
-// pool, returning the byte count and the first error. A clean EOF from
-// src is not an error. Each chunk is credited to every configured counter
-// only after it has been written downstream, so counters never run ahead
-// of the receiver.
+// CopyCounted moves bytes from src to dst, returning the byte count and
+// the first error. A clean EOF from src is not an error. A src that
+// implements HandOff passes its queued buffers to dst itself; any other
+// src is read into a buffer borrowed from pool. Each batch is credited
+// to every configured counter only after it has been written
+// downstream, so counters never run ahead of the receiver.
 func CopyCounted(dst io.Writer, src io.Reader, pool *Pool, cfg CopyConfig) (int64, error) {
-	bp := pool.Get()
-	defer pool.Put(bp)
-	buf := *bp
+	h, _ := src.(HandOff)
+	var buf []byte
+	if h == nil {
+		bp := pool.Get()
+		defer pool.Put(bp)
+		buf = *bp
+	}
 	var moved int64
 	for {
 		if cfg.Ctx != nil {
@@ -130,33 +151,49 @@ func CopyCounted(dst io.Writer, src io.Reader, pool *Pool, cfg CopyConfig) (int6
 			default:
 			}
 		}
-		n, rerr := src.Read(buf)
+		var batch, n int
+		var err error
+		if h != nil {
+			n, err = h.HandOff(dst)
+			batch = n
+		} else {
+			batch, n, err = copyOnce(dst, src, buf)
+		}
+		if batch > 0 && cfg.HighWater != nil {
+			cfg.HighWater.SetMax(int64(batch))
+		}
 		if n > 0 {
-			if cfg.HighWater != nil {
-				cfg.HighWater.SetMax(int64(n))
+			moved += int64(n)
+			for _, c := range cfg.Counters {
+				c.Add(uint64(n))
 			}
-			nw, werr := dst.Write(buf[:n])
-			if nw > 0 {
-				moved += int64(nw)
-				for _, c := range cfg.Counters {
-					c.Add(uint64(nw))
-				}
-				if cfg.Progress != nil {
-					cfg.Progress(nw)
-				}
-			}
-			if werr != nil {
-				return moved, werr
-			}
-			if nw < n {
-				return moved, io.ErrShortWrite
+			if cfg.Progress != nil {
+				cfg.Progress(n)
 			}
 		}
-		if rerr != nil {
-			if rerr == io.EOF {
+		if err != nil {
+			if err == io.EOF {
 				return moved, nil
 			}
-			return moved, rerr
+			return moved, err
 		}
 	}
+}
+
+// copyOnce reads once from src into buf and writes what it read to dst,
+// returning the bytes read, the bytes written, and the first error — a
+// write error ahead of the read error that came with the bytes.
+func copyOnce(dst io.Writer, src io.Reader, buf []byte) (nr, nw int, err error) {
+	nr, err = src.Read(buf)
+	if nr > 0 {
+		var werr error
+		nw, werr = dst.Write(buf[:nr])
+		if werr != nil {
+			return nr, nw, werr
+		}
+		if nw < nr {
+			return nr, nw, io.ErrShortWrite
+		}
+	}
+	return nr, nw, err
 }
